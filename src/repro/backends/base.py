@@ -36,8 +36,6 @@ import numpy as np
 #: layer never imports the layer that dispatches to it).
 WORD_BITS = 64
 
-_WORD_BYTES = WORD_BITS // 8
-
 
 class KernelBackend:
     """Reference (NumPy) implementation of the pluggable kernel surface.
@@ -78,13 +76,11 @@ class KernelBackend:
         """
         rows, n = bits.shape
         words = -(-n // WORD_BITS)
-        if n == 0:
-            return np.zeros((rows, 0), dtype=np.uint64)
-        packed_bytes = np.packbits(bits, axis=1, bitorder="little")
-        pad = words * _WORD_BYTES - packed_bytes.shape[1]
-        if pad:
-            packed_bytes = np.pad(packed_bytes, ((0, 0), (0, pad)))
-        return np.ascontiguousarray(packed_bytes).view(np.uint64)
+        packed = np.zeros((rows, words), dtype=np.uint64)
+        if n:
+            as_bytes = packed.view(np.uint8)
+            as_bytes[:, : -(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+        return packed
 
     def pack_cols(self, bits: np.ndarray) -> np.ndarray:
         """Bit-slice a validated ``(batch, n)`` uint8 array: pack the batch axis.

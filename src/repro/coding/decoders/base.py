@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
+import inspect
+from abc import ABC, ABCMeta, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.backends import resolve_backend
-from repro.coding.linear import LinearBlockCode
+from repro.coding.linear import TABLE_BITS, LinearBlockCode
 from repro.errors import DimensionError
-from repro.gf2.bitpack import pack_rows, packed_hamming_distance
+from repro.gf2.bitpack import pack_rows, packed_hamming_distance, packed_row_order
 from repro.gf2.vectors import as_bit_array
 
 
@@ -103,7 +104,28 @@ class BatchDecodeResult:
 SOFT_CODEBOOK_K_LIMIT = 16
 
 
-class Decoder(ABC):
+class _TabledDecoderMeta(ABCMeta):
+    """Builds each decoder's response table once its constructor returns.
+
+    Subclass constructors set up the lookup state their kernels need
+    *after* ``super().__init__``, so the table — the finished kernel run
+    over every received word — can only be computed once the outermost
+    ``__init__`` is done.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        decoder = super().__call__(*args, **kwargs)
+        decoder._table = decoder._build_table()
+        return decoder
+
+    @property
+    def __signature__(cls) -> inspect.Signature:
+        # Report the constructor's parameters, not those of __call__.
+        init = inspect.signature(cls.__init__)
+        return init.replace(parameters=list(init.parameters.values())[1:])
+
+
+class Decoder(ABC, metaclass=_TabledDecoderMeta):
     """Base class for decoders of a specific code.
 
     Every decoder exposes two input domains:
@@ -122,6 +144,17 @@ class Decoder(ABC):
     free.  Structured codes override it with a faster kernel (RM(1, m)
     uses the Hadamard spectrum, see
     :class:`~repro.coding.decoders.fht.FhtDecoder`).
+
+    Batched hard decoding has one public entry pair,
+    :meth:`decode_batch_detailed` and :meth:`decode_batch`, here.  Each
+    subclass supplies its vectorised algorithm as :meth:`_decode_kernel`.
+    For codes with ``n <=``
+    :data:`~repro.coding.linear.TABLE_BITS` the constructor runs that
+    kernel once over all ``2^n`` received words, and every later call
+    bit-packs its words into row indices and gathers the answers from
+    those four read-only arrays: the table memoizes the kernel, so the
+    results are the kernel's, bit for bit.  Longer codes call the kernel
+    directly.
     """
 
     #: Short identifier used in reports and the decoder-policy ablation.
@@ -135,10 +168,32 @@ class Decoder(ABC):
     def __init__(self, code: LinearBlockCode):
         self.code = code
         self._codebook_signs: Optional[np.ndarray] = None
+        #: Kernel responses to every received word in packed-row order
+        #: (``None`` while building it, and for codes longer than
+        #: ``TABLE_BITS``).
+        self._table: Optional[BatchDecodeResult] = None
 
     @abstractmethod
     def decode(self, received: Sequence[int]) -> DecodeResult:
         """Decode one received n-bit word."""
+
+    def _build_table(self) -> Optional[BatchDecodeResult]:
+        """Run :meth:`_decode_kernel` over all ``2^n`` words, if n is small."""
+        if self.code.n > TABLE_BITS:
+            return None
+        table = self._decode_kernel(packed_row_order(self.code.n))
+        for column in (
+            table.messages,
+            table.codewords,
+            table.corrected_errors,
+            table.detected_uncorrectable,
+        ):
+            column.flags.writeable = False
+        return table
+
+    def _table_rows(self, words: np.ndarray) -> np.ndarray:
+        """Table row of each validated word: its bit-packed value."""
+        return pack_rows(words, backend=self.backend)[:, 0]
 
     def decode_batch(self, received: np.ndarray) -> np.ndarray:
         """Decode a batch of received words into message estimates.
@@ -155,14 +210,13 @@ class Decoder(ABC):
             decoding ``received[i]``.  Use :meth:`decode_batch_detailed`
             when the error flags or correction counts are also needed.
         """
-        return self.decode_batch_detailed(received).messages
+        words = self._check_received_batch(received)
+        if self._table is None:
+            return self._decode_kernel(words).messages
+        return self._table.messages.take(self._table_rows(words), axis=0)
 
     def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
         """Decode a batch keeping per-word flags and correction counts.
-
-        Subclasses override this with a fully vectorised path; the base
-        implementation loops over :meth:`decode` and is the reference
-        the vectorised paths are tested against.
 
         Parameters
         ----------
@@ -174,9 +228,28 @@ class Decoder(ABC):
         BatchDecodeResult
             Per-word messages, codeword estimates, correction counts and
             detected-uncorrectable flags, bit-identical to scalar
-            :meth:`decode` calls.
+            :meth:`decode` calls.  The arrays are fresh copies, never
+            views of the decoder's table.
         """
         words = self._check_received_batch(received)
+        table = self._table
+        if table is None:
+            return self._decode_kernel(words)
+        rows = self._table_rows(words)
+        return BatchDecodeResult(
+            messages=table.messages.take(rows, axis=0),
+            codewords=table.codewords.take(rows, axis=0),
+            corrected_errors=table.corrected_errors.take(rows, axis=0),
+            detected_uncorrectable=table.detected_uncorrectable.take(rows, axis=0),
+        )
+
+    def _decode_kernel(self, words: np.ndarray) -> BatchDecodeResult:
+        """Decode validated ``(batch, n)`` words: the batched algorithm.
+
+        Subclasses override this with a fully vectorised kernel; the
+        base implementation loops over :meth:`decode` and is the
+        reference the vectorised kernels are tested against.
+        """
         batch = words.shape[0]
         messages = np.empty((batch, self.code.k), dtype=np.uint8)
         codewords = np.empty((batch, self.code.n), dtype=np.uint8)

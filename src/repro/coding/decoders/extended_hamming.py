@@ -88,23 +88,14 @@ class ExtendedHammingDecoder(Decoder):
             detected_uncorrectable=True,
         )
 
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
+    def _decode_kernel(self, words: np.ndarray) -> BatchDecodeResult:
         """Vectorised SEC-DED decoding of a whole batch.
 
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row: weight-1
-            syndromes flip their bit (``corrected_errors == 1``), any
-            other nonzero syndrome raises the detected-uncorrectable
-            flag and keeps the raw word (systematic fallback).
+        Bit-identical to scalar :meth:`decode` per row: weight-1
+        syndromes flip their bit (``corrected_errors == 1``), any other
+        nonzero syndrome raises the detected-uncorrectable flag and
+        keeps the raw word (systematic fallback).
         """
-        words = self._check_received_batch(received)
         syndromes = self.code.syndrome_batch(words)
         indices = syndromes.astype(np.int64) @ self._syndrome_weights
         positions = self._position_for_syndrome[indices]

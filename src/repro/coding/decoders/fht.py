@@ -227,33 +227,14 @@ class FhtDecoder(Decoder):
             messages[:, j + 1] = (best_index >> j) & 1
         return messages, ties
 
-    def decode_batch(self, received: np.ndarray) -> np.ndarray:
-        """Message-only batch decode, skipping the re-encode.
-
-        The Monte-Carlo hot loops only consume message estimates, so
-        this skips the codeword/corrected-error bookkeeping that
-        :meth:`decode_batch_detailed` adds.
-        """
-        return self._batch_messages(self._check_received_batch(received))[0]
-
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
+    def _decode_kernel(self, words: np.ndarray) -> BatchDecodeResult:
         """Vectorised Green-machine decoding of a whole batch.
 
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row.  The batch
-            WHT is one dense sign-matrix product (n is tiny for
-            RM(1,3), so that beats the butterfly); ties in the spectrum
-            magnitude raise ``detected_uncorrectable`` exactly as the
-            scalar tie-break does.
+        Bit-identical to scalar :meth:`decode` per row.  The batch WHT
+        is one dense sign-matrix product (n is tiny for RM(1,3), so that
+        beats the butterfly); ties in the spectrum magnitude raise
+        ``detected_uncorrectable`` exactly as the scalar tie-break does.
         """
-        words = self._check_received_batch(received)
         messages, ties = self._batch_messages(words)
         codewords = self.code.encode_batch(messages)
         corrected = packed_hamming_distance(pack_rows(codewords), pack_rows(words))
@@ -269,8 +250,7 @@ class FhtDecoder(Decoder):
 
         The RM(1, m) spectrum *is* the correlation with every codeword,
         so this replaces the base class's generic 2^k-codeword
-        correlation with one dense n x n product — the soft peer of the
-        hard :meth:`decode_batch` fast path.
+        correlation with one dense n x n product.
         """
         values = self._check_soft_batch(confidences)
         return soft_spectrum_messages(values, self.m, backend=self.backend)[0]

@@ -50,24 +50,15 @@ class MaximumLikelihoodDecoder(Decoder):
             detected_uncorrectable=len(candidates) > 1,
         )
 
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
+    def _decode_kernel(self, words: np.ndarray) -> BatchDecodeResult:
         """Vectorised nearest-codeword search over the whole batch.
 
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row.  Received
-            words and the codebook are bit-packed so the whole
-            ``(batch, 2^k)`` distance matrix is XOR + popcount on
-            ``uint64`` words; distance ties keep the smallest message
-            index and raise ``detected_uncorrectable``.
+        Bit-identical to scalar :meth:`decode` per row.  Received words
+        and the codebook are bit-packed so the whole ``(batch, 2^k)``
+        distance matrix is XOR + popcount on ``uint64`` words; distance
+        ties keep the smallest message index and raise
+        ``detected_uncorrectable``.
         """
-        words = self._check_received_batch(received)
         indices, best, ties = resolve_backend(self.backend).nearest_codeword(
             pack_rows(words, backend=self.backend), self._packed_codebook
         )

@@ -101,33 +101,15 @@ class ReedDecoder(Decoder):
         tie |= 2 * ones == n
         return np.concatenate([m1[:, None], coefficients], axis=1), tie
 
-    def decode_batch(self, received: np.ndarray) -> np.ndarray:
-        """Message-only batch decode, skipping the re-encode.
-
-        The Monte-Carlo hot loops only consume message estimates, so
-        this skips the codeword/corrected-error bookkeeping that
-        :meth:`decode_batch_detailed` adds.
-        """
-        return self._batch_messages(self._check_received_batch(received))[0]
-
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
+    def _decode_kernel(self, words: np.ndarray) -> BatchDecodeResult:
         """Vectorised majority-logic decoding of a whole batch.
 
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row: each
-            derivative-pair vote becomes one column-gather XOR and a
-            row sum across the batch, tie votes raise
-            ``detected_uncorrectable``, and tied coefficients fall back
-            to 0 exactly as the scalar rule does.
+        Bit-identical to scalar :meth:`decode` per row: each
+        derivative-pair vote becomes one column-gather XOR and a row sum
+        across the batch, tie votes raise ``detected_uncorrectable``,
+        and tied coefficients fall back to 0 exactly as the scalar rule
+        does.
         """
-        words = self._check_received_batch(received)
         messages, tie = self._batch_messages(words)
         codewords = self.code.encode_batch(messages)
         corrected = packed_hamming_distance(pack_rows(codewords), pack_rows(words))

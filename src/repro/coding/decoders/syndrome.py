@@ -84,23 +84,14 @@ class SyndromeDecoder(Decoder):
             detected_uncorrectable=False,
         )
 
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
+    def _decode_kernel(self, words: np.ndarray) -> BatchDecodeResult:
         """Vectorised coset-leader decoding of a whole batch.
 
-        Parameters
-        ----------
-        received : numpy.ndarray
-            ``(batch, n)`` array of 0/1 received bits.
-
-        Returns
-        -------
-        BatchDecodeResult
-            Bit-identical to scalar :meth:`decode` per row: one fused
-            backend kernel computes syndromes, gathers leaders from the
-            dense table and applies them, flagging (in bounded-distance
-            mode) heavy-leader rows instead of correcting them.
+        Bit-identical to scalar :meth:`decode` per row: one fused
+        backend kernel computes syndromes, gathers leaders from the
+        dense table and applies them, flagging (in bounded-distance
+        mode) heavy-leader rows instead of correcting them.
         """
-        words = self._check_received_batch(received)
         max_weight = (
             -1 if self.max_correctable_weight is None else self.max_correctable_weight
         )

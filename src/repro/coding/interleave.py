@@ -396,9 +396,8 @@ class InterleavedDecoder(Decoder):
         word = self._check_received(received)
         return self.decode_batch_detailed(word[None, :])[0]
 
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
+    def _decode_kernel(self, words: np.ndarray) -> BatchDecodeResult:
         """Deinterleave, base-decode all constituents, reassemble."""
-        words = self._check_received_batch(received)
         code: InterleavedCode = self.code  # type: ignore[assignment]
         split = self._split(code.interleaver.deinterleave(words))
         return self._join(self.base_decoder.decode_batch_detailed(split), len(words))
@@ -484,9 +483,8 @@ class ConcatenatedDecoder(Decoder):
             detected_uncorrectable=outer.detected_uncorrectable.copy(),
         )
 
-    def decode_batch_detailed(self, received: np.ndarray) -> BatchDecodeResult:
+    def _decode_kernel(self, words: np.ndarray) -> BatchDecodeResult:
         """Inner-decode every block, then outer-decode the reassembly."""
-        words = self._check_received_batch(received)
         code: ConcatenatedCode = self.code  # type: ignore[assignment]
         batch = len(words)
         inner_words = words.reshape(batch * code.blocks, code.inner_code.n)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import DimensionError, SingularMatrixError
-from repro.gf2.bitpack import PackedGF2Matmul
+from repro.gf2.bitpack import PackedGF2Matmul, pack_rows, packed_row_order
 from repro.gf2.matrix import GF2Matrix
 from repro.gf2.vectors import (
     all_binary_vectors,
@@ -23,6 +23,14 @@ from repro.gf2.vectors import (
     format_bits,
     hamming_weight,
 )
+
+#: Widest word served by a response table: codes whose messages have at
+#: most this many bits encode by one row gather from a precomputed
+#: codebook, and decoders of codes whose codewords have at most this many
+#: bits hard-decode by one gather from their precomputed responses
+#: (:class:`~repro.coding.decoders.base.Decoder`).  A table has
+#: ``2^TABLE_BITS`` rows at most; wider codes run their kernels per call.
+TABLE_BITS = 12
 
 
 class LinearBlockCode:
@@ -163,11 +171,13 @@ class LinearBlockCode:
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
         """Encode a whole batch of messages in one vectorised pass.
 
-        The hot path of the streaming pipeline: messages are bit-sliced
-        into ``uint64`` words (64 frames per word) and multiplied by G
-        with a handful of XORs per codeword bit — see
-        :class:`repro.gf2.bitpack.PackedGF2Matmul`.  Bit-identical to
-        calling :meth:`encode` row by row.
+        The hot path of the streaming pipeline.  For ``k <=``
+        :data:`TABLE_BITS` each message is bit-packed into its row index
+        and the codeword gathered from a codebook computed once per code;
+        wider codes bit-slice the messages into ``uint64`` words (64
+        frames per word) and multiply by G with a handful of XORs per
+        codeword bit — see :class:`repro.gf2.bitpack.PackedGF2Matmul`.
+        Bit-identical to calling :meth:`encode` row by row.
 
         Parameters
         ----------
@@ -183,7 +193,20 @@ class LinearBlockCode:
         msgs = np.asarray(messages, dtype=np.uint8)
         if msgs.ndim != 2 or msgs.shape[1] != self.k:
             raise DimensionError(f"expected (batch, {self.k}) messages, got {msgs.shape}")
-        return self._packed_encode(msgs)
+        if self.k > TABLE_BITS:
+            return self._packed_encode(msgs)
+        return self._encode_table.take(pack_rows(msgs)[:, 0], axis=0)
+
+    @cached_property
+    def _encode_table(self) -> np.ndarray:
+        """Read-only ``(2^k, n)`` codebook in packed-row order.
+
+        Row ``i`` encodes the message that :func:`pack_rows` packs to
+        ``i``; built once per code by the bit-sliced multiply.
+        """
+        table = self._packed_encode(packed_row_order(self.k))
+        table.flags.writeable = False
+        return table
 
     def syndrome(self, received: Sequence[int]) -> np.ndarray:
         """Syndrome ``H r^T`` of a received word."""
@@ -278,7 +301,7 @@ class LinearBlockCode:
     @cached_property
     def all_codewords(self) -> np.ndarray:
         """All 2^k codewords aligned with :attr:`all_messages`."""
-        return self.encode_batch(self.all_messages)
+        return self._packed_encode(self.all_messages)
 
     @cached_property
     def weight_distribution(self) -> np.ndarray:

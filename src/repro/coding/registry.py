@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from repro.backends import resolve_backend, use_backend
 from repro.coding.decoders import (
     Decoder,
     ExtendedHammingDecoder,
@@ -160,22 +161,24 @@ def get_decoder(
 
     ``strategy=None`` picks the paper's pairing via
     :func:`~repro.coding.decoders.default_decoder_for`.  ``backend``
-    pins the decoder's batched kernels to a named compute backend
-    (validated immediately — an unknown or unusable name raises the
+    pins the decoder's batched kernels, and the kernel run that builds
+    its response table, to a named compute backend (validated
+    immediately — an unknown or unusable name raises the
     :mod:`repro.backends` errors here, not mid-decode); ``None`` keeps
     the ambient resolution.
     """
     if strategy is None:
-        decoder = default_decoder_for(code)
+        factory = default_decoder_for
     else:
         key = strategy.lower()
         if key not in _DECODER_FACTORIES:
             raise KeyError(
                 f"unknown decoder {strategy!r}; available: {available_decoders()}"
             )
-        decoder = _DECODER_FACTORIES[key](code)
+        factory = _DECODER_FACTORIES[key]
     if backend is not None:
-        from repro.backends import resolve_backend
-
-        decoder.backend = resolve_backend(backend).name
+        backend = resolve_backend(backend).name
+    with use_backend(backend):
+        decoder = factory(code)
+    decoder.backend = backend
     return decoder

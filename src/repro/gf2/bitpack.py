@@ -47,8 +47,6 @@ from repro.errors import DimensionError, NotBinaryError
 #: Number of logical bits carried per packed word.
 WORD_BITS = 64
 
-_WORD_BYTES = WORD_BITS // 8
-
 
 def packed_words(n_bits: int) -> int:
     """Number of ``uint64`` words needed to hold ``n_bits`` bits.
@@ -129,6 +127,29 @@ def unpack_rows(packed: np.ndarray, n: int) -> np.ndarray:
     as_bytes = arr.view(np.uint8)
     bits = np.unpackbits(as_bytes, axis=1, bitorder="little")
     return bits[:, :n]
+
+
+def packed_row_order(n_bits: int) -> np.ndarray:
+    """All ``2^n_bits`` 0/1 rows, row ``i`` being the one that packs to ``i``.
+
+    Bit ``t`` of row ``i`` is bit ``t`` of ``i`` (the LSB-first layout
+    of :func:`pack_rows`), so a table computed over these rows is
+    indexed directly by ``pack_rows(words)[:, 0]``.
+
+    Parameters
+    ----------
+    n_bits : int
+        Bits per row, at most 64.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(2^n_bits, n_bits)`` C-contiguous ``uint8`` array.
+    """
+    if not 0 <= n_bits <= WORD_BITS:
+        raise ValueError(f"row width must lie in [0, {WORD_BITS}], got {n_bits}")
+    index = np.arange(1 << n_bits, dtype=np.uint64)[:, None]
+    return np.ascontiguousarray(unpack_rows(index, n_bits))
 
 
 def pack_cols(bits: np.ndarray, backend: Optional[str] = None) -> np.ndarray:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.coding.decoders.soft import soft_confidences_from_flux
 from repro.utils.rng import RandomState, as_generator
@@ -107,4 +106,6 @@ class AwgnFluxChannel:
         """
         if self.sigma == 0:
             return 0.0
-        return float(norm.sf(0.5 / self.sigma))
+        from scipy.special import ndtr
+
+        return float(ndtr(-0.5 / self.sigma))

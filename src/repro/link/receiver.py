@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.errors import DimensionError
 from repro.utils.rng import RandomState, as_generator
@@ -57,8 +56,12 @@ class CmosReceiver:
             p01 = 0.0 if low_mv < threshold else 1.0
             p10 = 0.0 if high_mv > threshold else 1.0
             return p01, p10
-        p01 = float(norm.sf((threshold - low_mv) / sigma))
-        p10 = float(norm.cdf((threshold - high_mv) / sigma))
+        # ndtr is the standard normal CDF, imported here so importing the
+        # link layer (and everything above it) does not load scipy.
+        from scipy.special import ndtr
+
+        p01 = float(ndtr(-(threshold - low_mv) / sigma))
+        p10 = float(ndtr((threshold - high_mv) / sigma))
         return p01, p10
 
     def decide_batch(

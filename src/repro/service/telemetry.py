@@ -301,15 +301,19 @@ class SessionTelemetry:
         soft: bool = False,
     ) -> None:
         corrected = np.asarray(corrected_errors)
-        detected = np.asarray(detected_uncorrectable, dtype=bool)
-        corrected_frames = (corrected > 0) & ~detected
-        self._outcomes["corrected"].inc(int(corrected_frames.sum()))
-        self._outcomes["detected"].inc(int(detected.sum()))
-        self._outcomes["accepted"].inc(int((~detected & (corrected == 0)).sum()))
+        undetected = ~np.asarray(detected_uncorrectable, dtype=bool)
+        total = int(undetected.size)
+        detected = total - int(np.count_nonzero(undetected))
+        # Correction counts are non-negative, so the nonzero ones among
+        # the undetected frames are exactly the corrected frames.
+        fixed = int(np.count_nonzero(corrected[undetected]))
+        self._outcomes["corrected"].inc(fixed)
+        self._outcomes["detected"].inc(detected)
+        self._outcomes["accepted"].inc(total - detected - fixed)
         self._bits.inc(int(corrected.sum()))
         if soft:
-            self._soft["decoded"].inc(int(corrected.size))
-            self._soft["corrected"].inc(int(corrected_frames.sum()))
+            self._soft["decoded"].inc(total)
+            self._soft["corrected"].inc(fixed)
 
     def record_latency_us(self, latency_us: float, op: str = "") -> None:
         self._op_child(self._latency, self._latency_family, op).observe(

@@ -1,5 +1,10 @@
 """Tests for the cryogenic link components (repro.link)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,6 +168,50 @@ class TestAwgnFluxChannel:
             AwgnFluxChannel(amplitude_scale=0.0)
         with pytest.raises(ValueError):
             AwgnFluxChannel().transmit_soft(np.zeros(8, dtype=np.uint8))
+
+
+class TestNormalTail:
+    """Q-function tails come from scipy.special.ndtr, loaded only on use."""
+
+    def test_receiver_tails_equal_scipy_norm_exactly(self):
+        from scipy.stats import norm
+
+        for noise in (0.05, 0.3, 1.0, 2.5, 7.0):
+            receiver = CmosReceiver(input_noise_mv_rms=noise)
+            for extra in (0.0, 0.4, 3.0):
+                sigma = float(np.hypot(noise, extra))
+                for low, high in ((0.0, 10.0), (0.3, 14.0), (1.7, 2.1), (-2.0, 5.5)):
+                    threshold = receiver.decision_threshold(low, high)
+                    assert receiver.flip_probabilities(low, high, extra) == (
+                        float(norm.sf((threshold - low) / sigma)),
+                        float(norm.cdf((threshold - high) / sigma)),
+                    )
+
+    def test_awgn_flip_probability_equals_scipy_norm_exactly(self):
+        from scipy.stats import norm
+
+        from repro.link import AwgnFluxChannel
+
+        for sigma in np.linspace(0.01, 3.0, 300):
+            channel = AwgnFluxChannel(sigma=float(sigma))
+            assert channel.flip_probability() == float(norm.sf(0.5 / float(sigma)))
+
+    def test_importing_the_service_loads_no_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        probe = (
+            "import sys, repro.service; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestBinaryChannel:
